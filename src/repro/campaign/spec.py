@@ -22,6 +22,7 @@ from __future__ import annotations
 import difflib
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.params import PolicyError, baseline_config, resolve_policy
@@ -377,9 +378,23 @@ class CampaignJob:
     position: int  # benchmark slot for alone jobs, -1 for grid jobs
     job: SimJob = field(compare=False)
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The job's content key, hashed on first read and kept.
+
+        ``SimJob.key()`` canonicalizes and hashes the whole config (and
+        probes every trace workload's digest) on each call, and the
+        ledger, store and report read this key many times per job.  The
+        cached value lives in the instance ``__dict__``, outside the
+        dataclass fields, so equality and hashing ignore it, and
+        :meth:`__getstate__` leaves it out of pickles.
+        """
         return self.job.key()
+
+    def __getstate__(self) -> Dict:
+        state = dict(self.__dict__)
+        state.pop("key", None)
+        return state
 
     def describe(self) -> str:
         names = "+".join(self.benchmarks)

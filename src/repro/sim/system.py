@@ -286,10 +286,27 @@ class System:
                 "a fresh System, or use repro.api.simulate() which does"
             )
         self._ran = True
-        if self.backend == "event":
-            from repro.sim.skipahead import run_event
+        try:
+            if self.backend == "event":
+                from repro.sim.skipahead import run_event
 
-            return run_event(self, max_accesses_per_core, max_cycles)
+                return run_event(self, max_accesses_per_core, max_cycles)
+            return self._run_heap(max_accesses_per_core, max_cycles)
+        finally:
+            # The engine's drop callback and the event backend's scalar
+            # tick arming are bound methods of this System: references
+            # from the System back to itself.  A System cannot be re-run,
+            # so drop them, leaving the finished graph acyclic: reference
+            # counting frees it (trace generators and their prebuilt
+            # entry lists included) as soon as the caller lets go,
+            # without waiting for a garbage-collection pass.
+            self.engine.on_drop = None
+            self.__dict__.pop("_schedule_tick", None)
+
+    def _run_heap(
+        self, max_accesses_per_core: int, max_cycles: Optional[int]
+    ) -> SimResult:
+        """The heap-scheduled loop of the optimized and reference backends."""
         self.telemetry.on_start(self)
         for core in self.cores:
             core.target_accesses = max_accesses_per_core

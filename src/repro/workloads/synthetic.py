@@ -14,8 +14,10 @@ a :class:`BenchmarkProfile`.  Two access populations are interleaved:
 All randomness comes from a seeded ``numpy`` Generator; random draws are
 batched for speed.
 
-Hot-path layout (DESIGN.md §15): entries are built a chunk at a time in
-:meth:`generate_batches` and flattened through
+Hot-path layout (DESIGN.md §15): :meth:`generate_batches` draws its
+random arrays a chunk (4096 entries) at a time but builds entries
+lazily, one 256-entry slice per yielded list, so a short simulation
+builds only the slices it reads.  The lists are flattened through
 ``itertools.chain.from_iterable``, so the per-access ``next(core.trace)``
 hop in the simulation loop is serviced by the C chain iterator walking a
 prebuilt list instead of resuming a Python generator frame per entry.
@@ -36,6 +38,8 @@ from repro.workloads.profiles import BenchmarkProfile
 # Streams live in disjoint 1G-line regions so contexts never collide.
 _REGION_BITS = 30
 _CHUNK = 4096
+# Entries built per yielded batch; a divisor of _CHUNK.
+_SLICE = 256
 
 
 class SyntheticTraceGenerator:
@@ -60,9 +64,16 @@ class SyntheticTraceGenerator:
 
     def generate_batches(self, offset: int = 0) -> Iterator[List[TraceEntry]]:
         """Yield the same entry stream as :meth:`generate`, one list per
-        internal chunk — the batch form the simulation backends flatten
-        cheaply, and bulk consumers (converters, profilers) can extend
-        from directly.
+        slice of an internal chunk — the batch form the simulation
+        backends flatten cheaply, and bulk consumers (converters,
+        profilers) can extend from directly.
+
+        The RNG call order is that of an entry-at-a-time generator: a
+        chunk's arrays first, then each per-entry stream draw in entry
+        order, and the next chunk's arrays only once the last slice of
+        this one is built.  The chunk size is part of the stream (it
+        fixes where array draws interleave with per-entry draws); the
+        slice size is not.
         """
         profile = self.profile
         # zlib.crc32 is stable across processes (str.hash is randomized).
@@ -79,7 +90,6 @@ class SyntheticTraceGenerator:
         ]
         recent: deque = deque(maxlen=64)
         access_index = 0
-        in_bad_phase = False
         # Profile constants hoisted out of the per-entry loop.
         phase_period = profile.phase_period
         phase_slots = 1 + profile.bad_phase_ratio
@@ -100,7 +110,7 @@ class SyntheticTraceGenerator:
         # loop is the single hottest allocation site in a simulation.
         entry_new = tuple.__new__
         entry_cls = TraceEntry
-        chunk_range = range(_CHUNK)
+        slice_starts = range(0, _CHUNK, _SLICE)
         while True:
             # Batched random draws for one chunk of accesses, converted to
             # plain Python lists up front: per-element numpy scalar
@@ -118,46 +128,50 @@ class SyntheticTraceGenerator:
                 if profile.hot_lines
                 else None
             )
-            batch: List[TraceEntry] = []
-            batch_append = batch.append
-            for i in chunk_range:
-                # The phase check is per-entry because a phase boundary can
-                # land mid-chunk; profiles without phases skip it in one
-                # falsy test.
-                if phase_period:
-                    in_bad_phase = (access_index // phase_period) % phase_slots != 0
-                    if in_bad_phase:
-                        stream_fraction = bad_sf
-                        run_length = bad_rl
+            # Built one slice at a time, on demand: a short run reads only
+            # the first few hundred entries of its first chunk.
+            for start in slice_starts:
+                batch: List[TraceEntry] = []
+                batch_append = batch.append
+                for i in range(start, start + _SLICE):
+                    # The phase check is per-entry because a phase boundary
+                    # can land mid-slice; profiles without phases skip it in
+                    # one falsy test.
+                    if phase_period:
+                        if (access_index // phase_period) % phase_slots:
+                            stream_fraction = bad_sf
+                            run_length = bad_rl
+                        else:
+                            stream_fraction = good_sf
+                            run_length = good_rl
+                    if kind_draw[i] < stream_fraction:
+                        context = stream_pick[i]
+                        line = stream_pos[context]
+                        stream_pos[context] += 1
+                        stream_left[context] -= 1
+                        if stream_left[context] <= 0:
+                            stream_pos[context] = (
+                                self._fresh_base(rng, context) + offset
+                            )
+                            stream_left[context] = self._run_len(rng, run_length)
+                        pc = 16 + context
                     else:
-                        stream_fraction = good_sf
-                        run_length = good_rl
-                if kind_draw[i] < stream_fraction:
-                    context = stream_pick[i]
-                    line = stream_pos[context]
-                    stream_pos[context] += 1
-                    stream_left[context] -= 1
-                    if stream_left[context] <= 0:
-                        stream_pos[context] = self._fresh_base(rng, context) + offset
-                        stream_left[context] = self._run_len(rng, run_length)
-                    pc = 16 + context
-                else:
-                    if recent and reuse_draw[i] < reuse_fraction:
-                        line = recent[reuse_pick[i] % len(recent)]
-                    elif hot_pick is not None and hot_draw[i] < hot_fraction:
-                        line = ws_base + hot_pick[i]
-                    else:
-                        line = ws_base + ws_pick[i]
-                    pc = 8 + (line & 0x7)
-                recent_append(line)
-                access_index += 1
-                batch_append(
-                    entry_new(
-                        entry_cls,
-                        (gaps[i], line, pc, write_draw[i] < write_fraction),
+                        if recent and reuse_draw[i] < reuse_fraction:
+                            line = recent[reuse_pick[i] % len(recent)]
+                        elif hot_pick is not None and hot_draw[i] < hot_fraction:
+                            line = ws_base + hot_pick[i]
+                        else:
+                            line = ws_base + ws_pick[i]
+                        pc = 8 + (line & 0x7)
+                    recent_append(line)
+                    access_index += 1
+                    batch_append(
+                        entry_new(
+                            entry_cls,
+                            (gaps[i], line, pc, write_draw[i] < write_fraction),
+                        )
                     )
-                )
-            yield batch
+                yield batch
 
     @staticmethod
     def _fresh_base(rng: np.random.Generator, context: int) -> int:

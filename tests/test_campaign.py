@@ -9,6 +9,7 @@ bit-for-bit equal to an uninterrupted run.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -28,6 +29,8 @@ from repro.campaign import (
 from repro.campaign.__main__ import main as campaign_main
 from repro.campaign.ledger import Ledger
 from repro.campaign.report import export, status_summary
+from repro.trace.format import write_trace
+from repro.workloads import make_trace
 
 POLICIES = ("demand-first", "padc")
 
@@ -145,6 +148,39 @@ class TestExpansion:
         first = [(job.kind, job.key) for job in expand(spec)]
         second = [(job.kind, job.key) for job in expand(spec)]
         assert first == second
+
+    def test_key_is_hashed_once_per_job(self, tmp_path, monkeypatch):
+        trace = tmp_path / "swim.rtr"
+        write_trace(trace, make_trace("swim", seed=0), limit=500)
+        spec = CampaignSpec.build(
+            "x", [[f"trace:{trace}", "art"]], POLICIES, 100, include_alone=True
+        )
+        pristine = expand(spec)
+        jobs = expand(spec)
+        assert [job.key for job in jobs] == [job.job.key() for job in jobs]
+
+        calls = []
+        real_key = runtime.SimJob.key
+
+        def counting_key(job):
+            calls.append(job)
+            return real_key(job)
+
+        monkeypatch.setattr(runtime.SimJob, "key", counting_key)
+        fresh = expand(spec)
+        for _ in range(3):
+            [job.key for job in fresh]
+        assert len(calls) == len(fresh)
+
+        # The cached key is not part of the job's identity or its pickle.
+        assert jobs == pristine
+        assert [hash(job) for job in jobs] == [hash(job) for job in pristine]
+        assert [pickle.dumps(job) for job in jobs] == [
+            pickle.dumps(job) for job in pristine
+        ]
+        restored = pickle.loads(pickle.dumps(jobs[0]))
+        assert restored == jobs[0]
+        assert restored.key == jobs[0].key
 
     def test_grid_size(self):
         spec = small_spec(

@@ -1,8 +1,12 @@
 """Integration tests: full-system simulations on small workloads."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.params import (
+    BACKENDS,
     CacheConfig,
     CoreConfig,
     DRAMConfig,
@@ -136,6 +140,35 @@ class TestAPDDropping:
         result = run(policy="padc", benchmarks=(JUNKY,), accesses=4000)
         core = result.cores[0]
         assert core.l2_misses > 0  # simulation completes without MSHR leaks
+
+
+class TestRelease:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_finished_system_is_freed_by_refcount(self, backend):
+        """A finished System holds no reference back to itself, so dropping
+        the last outside reference frees it (trace generators included)
+        without a garbage-collection pass."""
+        config = baseline_config(2, policy="padc")
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = System(
+                config, [JUNKY, STREAMY], seed=3, check=False, backend=backend
+            )
+            result = system.run(2000)
+            assert result.dropped_prefetches > 0  # the drop callback fired
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def test_run_refuses_a_rerun_after_release(self):
+        system = System(baseline_config(1, policy="padc"), [JUNKY], check=False)
+        system.run(500)
+        with pytest.raises(RuntimeError, match="called twice"):
+            system.run(500)
 
 
 class TestMultiCore:
